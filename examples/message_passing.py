@@ -8,10 +8,13 @@ its neighbors. This example runs that implementation
 sub-rounds (dist -> Route, next/occupancy -> Signal, grant -> Move) plus
 entity hand-off messages.
 
-It then runs the shared-variable model side by side under the same
-scripted failures and checks, round by round, that both are in exactly
-the same state — the bisimulation that justifies analyzing the simple
-model while deploying the message-passing one.
+The message-passing run is a ``System`` stepped by the ``timed`` round
+engine over its default synchronous network (every message takes half a
+round period). It runs side by side with a ``System`` stepped by its
+own shared-variable ``update`` under the same scripted failures, and
+the example checks, round by round, that both are in exactly the same
+state — the bisimulation that justifies analyzing the simple model
+while deploying the message-passing one.
 
 Run:  python examples/message_passing.py
 """
@@ -20,14 +23,14 @@ import random
 
 from repro import EagerSource, Parameters, System
 from repro.grid import Direction, Grid, straight_path
-from repro.netsim import MessagePassingSystem
+from repro.netsim import TimedEngine
 
 ROUNDS = 1000
 FAULT_PLAN = {100: ("fail", (1, 4)), 400: ("recover", (1, 4))}
 
 
-def build(cls, path):
-    system = cls(
+def build(path) -> System:
+    system = System(
         grid=Grid(8),
         params=Parameters(l=0.25, rs=0.05, v=0.2),
         tid=path.target,
@@ -58,22 +61,22 @@ def fingerprint(cells):
 
 def main() -> None:
     path = straight_path((1, 0), Direction.NORTH, 8)
-    shared = build(System, path)
-    passing = build(MessagePassingSystem, path)
+    shared = build(path)
+    engine = TimedEngine(build(path))
+    passing = engine.system
 
     divergence = None
-    messages = 0
     for round_index in range(ROUNDS):
         if round_index in FAULT_PLAN:
             kind, cell = FAULT_PLAN[round_index]
             for system in (shared, passing):
                 getattr(system, kind)(cell)
         shared.update()
-        report = passing.update()
-        messages += report.messages_sent
+        engine.step()
         if fingerprint(shared.cells) != fingerprint(passing.cells):
             divergence = round_index
             break
+    messages = engine.messages_sent
 
     print(f"rounds executed:        {ROUNDS}")
     print(f"fault plan:             {FAULT_PLAN}")
@@ -85,11 +88,11 @@ def main() -> None:
           f"(shared model: {shared.total_consumed})")
     print(f"total messages:         {messages}")
     print(f"messages per round:     {messages / ROUNDS:.1f}")
-    stats = passing.network.stats
     print("by type:")
-    for name, count in sorted(stats.sent_by_type.items()):
+    for name, count in sorted(engine.sent_by_type.items()):
         print(f"  {name:<24} {count:>8}  ({count / ROUNDS:.2f}/round)")
-    print(f"suppressed (crashed):   {stats.suppressed_from_crashed}")
+    print(f"suppressed (crashed):   {engine.suppressed_from_crashed}")
+    print(f"late adverts:           {engine.late_adverts}")
 
 
 if __name__ == "__main__":

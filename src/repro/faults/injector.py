@@ -22,9 +22,8 @@ from repro.core.system import System
 from repro.faults.model import FaultDecision, FaultModel, NoFaults
 from repro.grid.topology import CellId
 
-#: Default cap on retained per-round decisions. Mirrored by
-#: :class:`repro.netsim.network.NetworkStats` for its per-delivery
-#: history, so both soak-sensitive ring buffers share one convention.
+#: Default cap on retained per-round decisions, so a soak-length run
+#: cannot grow memory linearly with rounds.
 DEFAULT_HISTORY_LIMIT = 10_000
 
 

@@ -70,9 +70,9 @@ class NetSpec:
     """Message-passing adversary knobs for the ``netsim`` oracle.
 
     ``drop`` is the per-advert loss probability of a
-    :class:`~repro.netsim.lossy.LossyNetwork`; ``jitter`` the upper
-    bound of a uniform per-message latency (in round periods) driven by
-    the timed-round synchronizer. Both default to off (``0.0``), which
+    :class:`~repro.netsim.delay.LossyDelay`; ``jitter`` the upper bound
+    of a uniform per-message latency (in round periods). Both legs run
+    on the ``timed`` engine. Both default to off (``0.0``), which
     makes the netsim oracle a no-op — the shrinker exploits that to
     discard the network leg when it is not load-bearing.
     """

@@ -51,13 +51,14 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.arrays import HAVE_NUMPY
+from repro.core.system import System
 from repro.fuzz.generator import Scenario
 from repro.grid.topology import Grid
 from repro.monitors.invariants import check_containment, check_disjoint_membership
 from repro.monitors.recorder import MonitorViolation
 from repro.monitors.safety import check_safe
-from repro.netsim.lossy import LossyNetwork
-from repro.netsim.runtime import MessagePassingSystem
+from repro.netsim.delay import DelayModel, LossyDelay, UniformDelay
+from repro.netsim.runtime import TimedEngine
 from repro.sim.seeding import derive_rng
 from repro.sim.simulator import (
     _make_source_policy,
@@ -357,14 +358,17 @@ class NetworkOracle(Oracle):
             # models the single-flow advert protocol); the guard also
             # covers hand-built corpus entries.
             return []
+        net = scenario.net
         violations: List[Violation] = []
-        if scenario.net.drop > 0.0:
-            violations.extend(self._lossy_leg(scenario))
-        if scenario.net.jitter > 0.0:
-            violations.extend(self._jitter_leg(scenario))
+        if net.drop > 0.0:
+            violations.extend(
+                self._leg(scenario, LossyDelay(net.drop), "net-loss", "lossy")
+            )
+        if net.jitter > 0.0:
+            violations.extend(
+                self._leg(scenario, UniformDelay(0.0, net.jitter), "net-delay", "jitter")
+            )
         return violations
-
-    # -- construction ------------------------------------------------
 
     @staticmethod
     def _workload(scenario: Scenario):
@@ -384,47 +388,26 @@ class NetworkOracle(Oracle):
         }
         return grid, tid, sources, failed
 
-    def _lossy_leg(self, scenario: Scenario) -> List[Violation]:
-        config = scenario.config
-        grid, tid, sources, failed = self._workload(scenario)
-        system = MessagePassingSystem(
-            grid=grid,
-            params=config.params,
-            tid=tid,
-            sources=sources,
-            token_policy=_make_token_policy(config.token_policy, config.seed),
-            rng=derive_rng(config.seed, "net-sources"),
-        )
-        system.network = LossyNetwork(
-            grid, scenario.net.drop, rng=derive_rng(config.seed, "net-loss")
-        )
-        for cid in failed:
-            system.fail(cid)
-        return self._degradation_rounds(scenario, system, "lossy")
-
-    def _jitter_leg(self, scenario: Scenario) -> List[Violation]:
-        from repro.asyncnet.delay import UniformDelay
-        from repro.asyncnet.timed_rounds import TimedRoundSystem
-
-        config = scenario.config
-        grid, tid, sources, failed = self._workload(scenario)
-        system = TimedRoundSystem(
-            grid=grid,
-            params=config.params,
-            tid=tid,
-            sources=sources,
-            delay_model=UniformDelay(0.0, scenario.net.jitter),
-            token_policy=_make_token_policy(config.token_policy, config.seed),
-            rng=derive_rng(config.seed, "net-sources"),
-            delay_rng=derive_rng(config.seed, "net-delay"),
-        )
-        for cid in failed:
-            system.fail(cid)
-        return self._degradation_rounds(scenario, system, "jitter")
-
-    def _degradation_rounds(
-        self, scenario: Scenario, system, leg: str
+    def _leg(
+        self, scenario: Scenario, delay_model: DelayModel, stream: str, leg: str
     ) -> List[Violation]:
+        """Run the workload on the timed engine over ``delay_model``, whose
+        latency draws come from the seed's ``stream``."""
+        config = scenario.config
+        grid, tid, sources, failed = self._workload(scenario)
+        system = System(
+            grid=grid,
+            params=config.params,
+            tid=tid,
+            sources=sources,
+            token_policy=_make_token_policy(config.token_policy, config.seed),
+            rng=derive_rng(config.seed, "net-sources"),
+        )
+        for cid in failed:
+            system.fail(cid)
+        engine = TimedEngine(
+            system, delay_model=delay_model, delay_rng=derive_rng(config.seed, stream)
+        )
         violations: List[Violation] = []
 
         def record(round_index: int, name: str, detail: str) -> None:
@@ -433,10 +416,7 @@ class NetworkOracle(Oracle):
             )
 
         for round_index in range(scenario.net.rounds):
-            if hasattr(system, "run_round"):
-                system.run_round()
-            else:
-                system.update()
+            engine.step()
             for finding in check_safe(system):
                 record(round_index, "Safe", str(finding))
             for finding in check_containment(system):

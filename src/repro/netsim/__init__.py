@@ -3,26 +3,37 @@
 The paper models ``System`` with shared variables but explains the
 intended implementation: "at the beginning of each round, Cell_{i,j}
 broadcasts messages containing the values of these variables and
-receives similar values from its neighbors" (Section II-B). This package
-builds that implementation for real:
+receives similar values from its neighbors" (Section II-B), with
+messages "delivered within bounded time". This package builds that
+implementation for real:
 
 * :mod:`repro.netsim.message` — the wire messages: per-phase state
   adverts and entity-transfer messages.
-* :mod:`repro.netsim.network` — a synchronous network: per-sub-round
-  mailboxes with reliable, bounded (one sub-round) delivery; crashed
-  nodes fall silent, which is precisely how neighbors observe failure.
 * :mod:`repro.netsim.process` — a per-cell process that runs the
-  protocol using *only* messages and local state.
-* :mod:`repro.netsim.runtime` — :class:`MessagePassingSystem`, which
-  drives one paper round as three communication sub-rounds
-  (dist -> Route, next/occupancy -> Signal, grants -> Move + transfers).
+  protocol using *only* messages and its cell's variables.
+* :mod:`repro.netsim.eventsim` — a deterministic discrete-event
+  scheduler.
+* :mod:`repro.netsim.delay` — per-message latency models (fixed,
+  uniform jitter, heavy tail, and loss), seeded and reproducible.
+* :mod:`repro.netsim.runtime` — :class:`TimedEngine`, the ``timed``
+  round engine: one paper round as four timed turns of broadcasts over
+  a ``System``'s own state.
 
-``MessagePassingSystem`` is step-for-step equivalent to the
-shared-variable :class:`repro.core.system.System`: the bisimulation
-tests in ``tests/test_netsim.py`` run both side by side under identical
-fault schedules and assert state equality after every round.
+Under any delay model bounded by one round period the engine is
+state-identical to the shared-variable
+:class:`repro.core.system.System` round: ``tests/test_netsim.py`` and
+``tests/test_asyncnet.py`` run both side by side under identical fault
+schedules and compare state after every round.
 """
 
+from repro.netsim.delay import (
+    DelayModel,
+    FixedDelay,
+    HeavyTailDelay,
+    LossyDelay,
+    UniformDelay,
+)
+from repro.netsim.eventsim import EventScheduler
 from repro.netsim.message import (
     EntityTransferMessage,
     GrantAdvert,
@@ -30,18 +41,21 @@ from repro.netsim.message import (
     OccupancyAdvert,
     RouteAdvert,
 )
-from repro.netsim.network import NetworkStats, SynchronousNetwork
 from repro.netsim.process import CellProcess
-from repro.netsim.runtime import MessagePassingSystem
+from repro.netsim.runtime import TimedEngine
 
 __all__ = [
     "CellProcess",
+    "DelayModel",
     "EntityTransferMessage",
+    "EventScheduler",
+    "FixedDelay",
     "GrantAdvert",
+    "HeavyTailDelay",
+    "LossyDelay",
     "Message",
-    "MessagePassingSystem",
-    "NetworkStats",
     "OccupancyAdvert",
     "RouteAdvert",
-    "SynchronousNetwork",
+    "TimedEngine",
+    "UniformDelay",
 ]

@@ -1,8 +1,12 @@
 """The per-cell process of the message-passing implementation.
 
-A :class:`CellProcess` owns exactly the paper's per-cell variables
-(held in a :class:`~repro.core.cell.CellState`) and advances through the
-three communication sub-rounds of one paper round:
+A :class:`CellProcess` runs one cell's share of a paper round using
+*only* received messages and the cell's own variables, which it reads
+and writes in place in the driving :class:`~repro.core.system.System`
+(``system.cells[cell_id]``). Whether the cell is the target is read from
+``system.tid`` on every use, so ``System.relocate_target`` takes effect
+at once; failure is the cell's own ``failed`` flag, set by
+``System.fail``/``recover``. The three communication sub-rounds:
 
     advert_route    -> on_route       (Route,  from received dists)
     advert_occupancy-> on_occupancy   (Signal, from received next/occupancy)
@@ -13,19 +17,22 @@ The computations reuse the *same* phase logic as the shared-variable
 model (``_route_step``-equivalent folding, ``gap_clear``), so any
 divergence between the two models is a protocol bug, not a re-coding
 artifact — and the bisimulation tests would catch it.
+
+Sends go through a *link*: any object with ``send(message)`` and
+``broadcast(src, make_message)`` — in a run, the
+:class:`~repro.netsim.runtime.TimedEngine`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List
 
 from repro.core.cell import INFINITY, CellState
 from repro.core.entity import Entity
 from repro.core.move import crossed_boundary
-from repro.core.params import Parameters
-from repro.core.policies import TokenPolicy
 from repro.core.signal import gap_clear
-from repro.grid.topology import CellId, Grid, direction_between
+from repro.core.system import System
+from repro.grid.topology import CellId, direction_between
 from repro.netsim.message import (
     EntityTransferMessage,
     GrantAdvert,
@@ -33,57 +40,42 @@ from repro.netsim.message import (
     OccupancyAdvert,
     RouteAdvert,
 )
-from repro.netsim.network import SynchronousNetwork
 
 
 class CellProcess:
     """One cell's protocol logic over messages."""
 
-    def __init__(
-        self,
-        cell_id: CellId,
-        grid: Grid,
-        params: Parameters,
-        is_target: bool,
-        token_policy: TokenPolicy,
-    ):
-        self.grid = grid
-        self.params = params
-        self.is_target = is_target
-        self.token_policy = token_policy
-        self.state = CellState(cell_id=cell_id)
-        if is_target:
-            self.state.dist = 0.0
-        self.consumed_this_round: List[Entity] = []
+    def __init__(self, system: System, cell_id: CellId):
+        system.grid.require(cell_id)
+        self.system = system
+        self.cell_id = cell_id
+        self.grid = system.grid
+        self.params = system.params
 
     # ------------------------------------------------------------------
 
     @property
-    def cell_id(self) -> CellId:
-        return self.state.cell_id
+    def state(self) -> CellState:
+        return self.system.cells[self.cell_id]
+
+    @property
+    def is_target(self) -> bool:
+        return self.cell_id == self.system.tid
 
     @property
     def failed(self) -> bool:
         return self.state.failed
 
-    def crash(self) -> None:
-        """Apply the fail transition to the local state."""
-        self.state.mark_failed()
-
-    def recover(self) -> None:
-        """Un-crash with cleared protocol state (target: dist = 0)."""
-        self.state.mark_recovered(is_target=self.is_target)
-
     # ------------------------------------------------------------------
     # Sub-round 1: Route
     # ------------------------------------------------------------------
 
-    def advert_route(self, network: SynchronousNetwork) -> None:
+    def advert_route(self, link) -> None:
         """Sub-round 1 send: broadcast the current dist estimate."""
         if self.failed:
             return
         dist = None if self.state.dist == INFINITY else self.state.dist
-        network.broadcast(
+        link.broadcast(
             self.cell_id,
             lambda dst: RouteAdvert(src=self.cell_id, dst=dst, dist=dist),
         )
@@ -113,11 +105,11 @@ class CellProcess:
     # Sub-round 2: Signal
     # ------------------------------------------------------------------
 
-    def advert_occupancy(self, network: SynchronousNetwork) -> None:
+    def advert_occupancy(self, link) -> None:
         """Sub-round 2 send: broadcast next pointer and occupancy flag."""
         if self.failed:
             return
-        network.broadcast(
+        link.broadcast(
             self.cell_id,
             lambda dst: OccupancyAdvert(
                 src=self.cell_id,
@@ -143,14 +135,14 @@ class CellProcess:
         if state.token is not None and state.token not in ne_prev:
             state.token = None
         if state.token is None:
-            state.token = self.token_policy.initial(ne_prev)
+            state.token = self.system.token_policy.initial(ne_prev)
         if state.token is None:
             state.signal = None
             return
         toward = direction_between(self.cell_id, state.token)
         if gap_clear(state, toward, self.params):
             state.signal = state.token
-            state.token = self.token_policy.rotate(ne_prev, state.token)
+            state.token = self.system.token_policy.rotate(ne_prev, state.token)
         else:
             state.signal = None
 
@@ -158,11 +150,11 @@ class CellProcess:
     # Sub-round 3: Move + transfers
     # ------------------------------------------------------------------
 
-    def advert_grant(self, network: SynchronousNetwork) -> None:
+    def advert_grant(self, link) -> None:
         """Sub-round 3 send: broadcast the signal (grant) value."""
         if self.failed:
             return
-        network.broadcast(
+        link.broadcast(
             self.cell_id,
             lambda dst: GrantAdvert(
                 src=self.cell_id, dst=dst, signal=self.state.signal
@@ -170,7 +162,7 @@ class CellProcess:
         )
 
     def on_grant(
-        self, inbox: Iterable[Message], network: SynchronousNetwork
+        self, inbox: Iterable[Message], link
     ) -> bool:
         """Apply Move if the next-hop's grant names this cell.
 
@@ -194,7 +186,7 @@ class CellProcess:
             entity.translate(toward, self.params.v)
             if crossed_boundary(entity, self.cell_id, toward, self.params.half_l):
                 self.state.remove_entity(entity.uid)
-                network.send(
+                link.send(
                     EntityTransferMessage(
                         src=self.cell_id,
                         dst=nxt,
@@ -213,7 +205,7 @@ class CellProcess:
         guarantees nothing is ever sent to one (no grant, no movement
         toward it), which the runtime asserts.
         """
-        self.consumed_this_round = []
+        consumed: List[Entity] = []
         for message in inbox:
             if not isinstance(message, EntityTransferMessage):
                 continue
@@ -230,9 +222,9 @@ class CellProcess:
                 side=self.params.l,
             )
             if self.is_target:
-                self.consumed_this_round.append(entity)
+                consumed.append(entity)
                 continue
             toward = direction_between(message.src, self.cell_id)
             entity.snap_to_entry_edge(self.cell_id, toward, self.params.half_l)
             self.state.add_entity(entity)
-        return self.consumed_this_round
+        return consumed

@@ -13,7 +13,7 @@ token, no signal, and an empty ``NEPrev``. The **incremental engine**
 exploits this with per-phase dirty sets, so quiescent regions of the grid
 cost zero per round — the performance lever for large grids — while
 producing *byte-identical* state, reports, metrics, and event traces.
-``tests/differential.py`` is the lockstep harness that proves the
+:mod:`repro.testing.differential` is the lockstep harness that proves the
 equivalence on randomized fault-injected configs; the dirty-set rules are
 documented in ``docs/performance.md``.
 
@@ -361,7 +361,7 @@ class IncrementalEngine(RoundEngine):
 # engines subclass RoundEngine: by this point every name they need is
 # defined, so the circular module pairs resolve in either import order.
 from repro.sim.vectorized import VectorizedEngine  # noqa: E402
-from repro.sim.timed_engine import TimedEngine  # noqa: E402
+from repro.netsim.runtime import TimedEngine  # noqa: E402
 from repro.shard.engine import ShardedEngine  # noqa: E402
 
 #: Registry of selectable engines (name -> class). ``docs/performance.md``

@@ -4,7 +4,7 @@ Covers the layers the fuzz campaigns build on: the spec-string grammar
 and its canonical formatter, per-class compilation (deterministic,
 well-formed schedules whose every fail recovers inside the horizon),
 the ``System.relocate_target`` transition and its injector scheduling,
-fault-model composition, partition walls, the ``timed`` engine adapter's
+fault-model composition, partition walls, the ``timed`` engine's
 state-identity to the reference, and the stabilization sweep helper.
 The fuzz-level integration (generator arm, oracles, shrinker) lives in
 ``tests/test_fuzz.py`` / ``tests/test_fuzz_mutations.py``.
@@ -31,6 +31,7 @@ from repro.fuzz.generator import generate_scenario
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import ENGINES
 from repro.sim.simulator import build_simulation
+from repro.sim.stepper import ResumableStepper
 from repro.testing.differential import state_digest
 
 PARAMS = Parameters(l=0.25, rs=0.05, v=0.2)
@@ -326,21 +327,43 @@ class TestTimedEngine:
             ), f"diverged at round {round_index} (jitter={jitter})"
         assert timed.engine.late_adverts == 0
 
+    def test_fires_every_phase_notification(self):
+        """The engine reports the same four phase boundaries per round as
+        the reference, so phase-hooked monitors and profilers see it."""
+        seen = {}
+        for engine in ("timed", "reference"):
+            simulation = build_simulation(_config(rounds=30), engine=engine)
+            phases = seen[engine] = []
+            simulation.system.phase_observer = lambda name, _: phases.append(name)
+            for _ in range(30):
+                simulation.step()
+        assert seen["timed"] == ["route", "signal", "move", "produce"] * 30
+        assert seen["timed"] == seen["reference"]
+
+    #: Mid-run environment transitions, ``{round: [(command, cell)]}``,
+    #: each applied through the stepper's command surface.
+    MID_RUN_SCHEDULES = {
+        "fail/recover": {10: [("fail", (2, 1))], 25: [("recover", (2, 1))]},
+        "arrive": {5: [("arrive", (1, 0))]},
+        "relocate": {10: [("relocate_target", (4, 4))]},
+    }
+
     def test_sees_injector_faults(self):
-        """Fail/recover through the System mid-run stays bisimilar (the
-        processes share the System's CellState objects)."""
-        timed = build_simulation(_config(engine="timed", rounds=40))
-        reference = build_simulation(_config(rounds=40), engine="reference")
-        for round_index in range(40):
-            if round_index == 10:
-                timed.system.fail((2, 1))
-                reference.system.fail((2, 1))
-            if round_index == 25:
-                timed.system.recover((2, 1))
-                reference.system.recover((2, 1))
-            timed.step()
-            reference.step()
-            assert state_digest(timed.system) == state_digest(reference.system)
+        """Fail/recover, commanded arrivals and target relocation mid-run
+        stay bisimilar: the engine reads and writes the System's own
+        cells, uid counter and ``tid``, and mirrors none of them."""
+        for name, schedule in self.MID_RUN_SCHEDULES.items():
+            timed = ResumableStepper(_config(engine="timed", rounds=40))
+            reference = ResumableStepper(_config(rounds=40), engine="reference")
+            for round_index in range(40):
+                for command, cell in schedule.get(round_index, []):
+                    for stepper in (timed, reference):
+                        getattr(stepper, command)(cell)
+                timed.step()
+                reference.step()
+                assert state_digest(timed.system) == state_digest(
+                    reference.system
+                ), f"{name}: diverged at round {round_index}"
 
 
 class TestStabilizationSweep:

@@ -13,12 +13,14 @@ import random
 import pytest
 
 import repro.core.signal as signal_module
+import repro.netsim.process as process_module
 from repro.core.params import Parameters
 from repro.core.sources import EagerSource
 from repro.core.system import System
 from repro.grid.paths import straight_path, turns_path
 from repro.grid.topology import Grid
 from repro.monitors.recorder import MonitorSuite, MonitorViolation
+from repro.netsim.runtime import TimedEngine
 
 PARAMS = Parameters(l=0.2, rs=0.3, v=0.2)  # generous d so breakage shows fast
 
@@ -48,6 +50,14 @@ def run_sabotaged(system: System, rounds: int = 400) -> MonitorSuite:
     return suite
 
 
+def run_timed_strict(system: System, rounds: int = 400) -> None:
+    """Step ``system`` on the ``timed`` engine under strict monitors."""
+    engine = TimedEngine(system)
+    suite = MonitorSuite(strict=True).attach(system)
+    for _ in range(rounds):
+        suite.after_round(system, engine.step())
+
+
 class TestGapPredicateSabotage:
     def test_always_true_gap_is_caught(self, monkeypatch):
         """Forcing every gap check to succeed lets entities enter occupied
@@ -71,6 +81,18 @@ class TestGapPredicateSabotage:
         monkeypatch.setattr(signal_module, "gap_clear", wrong_edge)
         suite = run_sabotaged(merge_system())
         assert suite.violation_counts(), "wrong-edge gap check must be detected"
+
+    def test_timed_grant_without_gap_is_caught(self, monkeypatch):
+        """On the ``timed`` engine a cell process that grants without
+        checking the gap is caught by strict monitors, through predicate
+        H at the engine's ``signal`` phase notification."""
+        run_timed_strict(merge_system())  # the unsabotaged run is clean
+        monkeypatch.setattr(
+            process_module, "gap_clear", lambda state, toward, params: True
+        )
+        with pytest.raises(MonitorViolation) as caught:
+            run_timed_strict(merge_system())
+        assert caught.value.violation.property_name == "predicate-H"
 
 
 class TestKinematicsSabotage:

@@ -1,11 +1,12 @@
 """Tests for the message-passing implementation, including bisimulation
 against the shared-variable model.
 
-The headline property: for any workload and any fault schedule, the
-message-passing system and the shared-variable system are in the *same
-state after every round* — the three-sub-round broadcast implementation
-realizes exactly the semantics the paper's shared-variable model
-specifies.
+The headline property: for any workload and any fault schedule, a
+``System`` stepped by the ``timed`` engine over its default synchronous
+network (every message takes half a period) and a ``System`` stepped by
+its own ``update`` are in the *same state after every round* — the
+broadcast implementation realizes exactly the semantics the paper's
+shared-variable model specifies.
 """
 
 import math
@@ -24,8 +25,7 @@ from repro.grid.paths import straight_path, turns_path
 from repro.grid.topology import Direction, Grid
 from repro.monitors.recorder import MonitorSuite
 from repro.netsim.message import EntityTransferMessage, RouteAdvert
-from repro.netsim.network import SynchronousNetwork
-from repro.netsim.runtime import MessagePassingSystem
+from repro.netsim.runtime import TimedEngine
 
 PARAMS = Parameters(l=0.25, rs=0.05, v=0.2)
 
@@ -50,122 +50,112 @@ def state_fingerprint(cells) -> dict:
     return fingerprint
 
 
-def build_pair(path_cells, sources=None):
-    """The same workload on both implementations."""
-    grid = Grid(8)
-    sources = sources or {path_cells[0]: "eager"}
-    shared = System(
-        grid=grid,
-        params=PARAMS,
-        tid=path_cells[-1],
-        sources={cid: EagerSource() for cid in sources},
-        rng=random.Random(0),
-    )
-    passing = MessagePassingSystem(
-        grid=grid,
-        params=PARAMS,
-        tid=path_cells[-1],
-        sources={cid: EagerSource() for cid in sources},
-        rng=random.Random(0),
-    )
-    for cid in grid.cells():
-        if cid not in set(path_cells):
-            shared.fail(cid)
-            passing.fail(cid)
-    return shared, passing
+def build_system(grid, path_cells=None, **kwargs) -> System:
+    """A ``System`` with every cell off ``path_cells`` pre-failed."""
+    system = System(grid=grid, params=PARAMS, rng=random.Random(0), **kwargs)
+    if path_cells is not None:
+        for cid in grid.cells():
+            if cid not in set(path_cells):
+                system.fail(cid)
+    return system
+
+
+def build_pair(path_cells):
+    """The same corridor twice: a shared-variable ``System`` and a
+    message-passing ``TimedEngine`` over its own ``System``."""
+
+    def corridor() -> System:
+        return build_system(
+            Grid(8),
+            path_cells,
+            tid=path_cells[-1],
+            sources={path_cells[0]: EagerSource()},
+        )
+
+    return corridor(), TimedEngine(corridor())
+
+
+def idle_engine(n: int = 4) -> TimedEngine:
+    """An engine over a source-free grid, for driving the link directly."""
+    return TimedEngine(build_system(Grid(n), tid=(n - 1, n - 1)))
 
 
 class TestNetworkSubstrate:
     def test_non_neighbor_send_rejected(self):
-        network = SynchronousNetwork(Grid(4))
+        engine = idle_engine()
         with pytest.raises(ValueError):
-            network.send(RouteAdvert(src=(0, 0), dst=(2, 0), dist=1.0))
+            engine.send(RouteAdvert(src=(0, 0), dst=(2, 0), dist=1.0))
 
     def test_crashed_sender_suppressed(self):
-        network = SynchronousNetwork(Grid(4))
-        network.set_crashed({(0, 0)})
-        network.send(RouteAdvert(src=(0, 0), dst=(0, 1), dist=1.0))
-        assert network.stats.suppressed_from_crashed == 1
-        assert network.deliver() == {}
+        engine = idle_engine()
+        engine.system.fail((0, 0))
+        engine.send(RouteAdvert(src=(0, 0), dst=(0, 1), dist=1.0))
+        assert engine.suppressed_from_crashed == 1
+        assert engine.scheduler.pending == 0
+        assert engine.messages_sent == 0
 
     def test_delivery_clears_queue(self):
-        network = SynchronousNetwork(Grid(4))
-        network.send(RouteAdvert(src=(0, 0), dst=(0, 1), dist=1.0))
-        assert network.in_flight == 1
-        inboxes = network.deliver()
-        assert network.in_flight == 0
-        assert len(inboxes[(0, 1)]) == 1
+        engine = idle_engine()
+        engine.send(RouteAdvert(src=(0, 0), dst=(0, 1), dist=1.0))
+        assert engine.scheduler.pending == 1
+        engine.scheduler.run_all()
+        assert engine.scheduler.pending == 0
+        assert len(engine.receive((0, 1))) == 1
+        assert engine.receive((0, 1)) == []
 
     def test_broadcast_reaches_all_neighbors(self):
-        network = SynchronousNetwork(Grid(4))
-        network.broadcast(
+        engine = idle_engine()
+        engine.broadcast(
             (1, 1), lambda dst: RouteAdvert(src=(1, 1), dst=dst, dist=2.0)
         )
-        inboxes = network.deliver()
-        assert set(inboxes) == {(0, 1), (2, 1), (1, 0), (1, 2)}
+        engine.scheduler.run_all()
+        reached = {cid for cid in engine.processes if engine.receive(cid)}
+        assert reached == {(0, 1), (2, 1), (1, 0), (1, 2)}
 
     def test_stats_by_type(self):
-        network = SynchronousNetwork(Grid(4))
-        network.send(RouteAdvert(src=(0, 0), dst=(0, 1), dist=None))
-        network.send(
+        engine = idle_engine()
+        engine.send(RouteAdvert(src=(0, 0), dst=(0, 1), dist=None))
+        engine.send(
             EntityTransferMessage(
                 src=(0, 0), dst=(1, 0), uid=1, position=(0.9, 0.5), birth_round=0
             )
         )
-        assert network.stats.sent_by_type == {
+        assert engine.sent_by_type == {
             "RouteAdvert": 1,
             "EntityTransferMessage": 1,
         }
-        assert network.stats.total_sent == 2
-
-    def test_delivered_history_bounded(self):
-        network = SynchronousNetwork(Grid(4), history_limit=5)
-        for _ in range(12):
-            network.send(RouteAdvert(src=(0, 0), dst=(0, 1), dist=1.0))
-            network.deliver()
-        assert len(network.stats.delivered_history) == 5
-        assert network.stats.delivered == 12  # aggregate stays exact
-
-    def test_delivered_history_opt_out(self):
-        network = SynchronousNetwork(Grid(4), history_limit=None)
-        for _ in range(12):
-            network.deliver()
-        assert len(network.stats.delivered_history) == 12
-
-    def test_history_limit_validation(self):
-        with pytest.raises(ValueError):
-            SynchronousNetwork(Grid(4), history_limit=0)
+        assert engine.messages_sent == 2
 
 
 class TestMessagePassingBasics:
     def test_corridor_delivers(self):
         _, passing = build_pair(straight_path((1, 0), Direction.NORTH, 8).cells)
-        consumed = sum(passing.update().consumed_count for _ in range(400))
+        consumed = sum(passing.step().consumed_count for _ in range(400))
         assert consumed > 0
-        assert passing.total_consumed == consumed
+        assert passing.system.total_consumed == consumed
 
     def test_message_cost_per_round(self):
         """Each live cell sends 3 adverts per neighbor per round (plus
         transfers): communication cost is measurable and bounded."""
         _, passing = build_pair(straight_path((1, 0), Direction.NORTH, 8).cells)
-        report = passing.update()
-        # 8 live cells in a column: 2 ends with 1 live neighbor... every
-        # live cell broadcasts to all 2-4 lattice neighbors (crashed
-        # neighbors included — sender doesn't know), 3 advert types.
+        passing.step()
+        # Every live cell broadcasts to all 2-4 lattice neighbors
+        # (crashed neighbors included — the sender doesn't know), 3
+        # advert types.
+        system = passing.system
         expected_adverts = 3 * sum(
-            len(passing.grid.neighbors(cid)) for cid in passing.non_faulty_cells()
+            len(system.grid.neighbors(cid)) for cid in system.non_faulty_cells()
         )
-        assert report.messages_sent == expected_adverts + 0  # no transfers yet
+        assert passing.messages_sent == expected_adverts + 0  # no transfers yet
 
     def test_monitor_suite_works_on_cells_view(self):
-        """The monitors accept the message-passing system through its
-        ``cells`` view."""
+        """The monitors check the message-passing run on its ``System``."""
         from repro.monitors.safety import check_safe
 
         _, passing = build_pair(straight_path((1, 0), Direction.NORTH, 8).cells)
         for _ in range(200):
-            passing.update()
-            assert check_safe(passing) == []
+            passing.step()
+            assert check_safe(passing.system) == []
 
 
 class TestBisimulation:
@@ -173,16 +163,12 @@ class TestBisimulation:
         for round_index in range(rounds):
             if fault_plan:
                 for kind, cid in fault_plan.get(round_index, []):
-                    if kind == "fail":
-                        shared.fail(cid)
-                        passing.fail(cid)
-                    else:
-                        shared.recover(cid)
-                        passing.recover(cid)
+                    getattr(shared, kind)(cid)
+                    getattr(passing.system, kind)(cid)
             shared_report = shared.update()
-            passing_report = passing.update()
+            passing_report = passing.step()
             assert state_fingerprint(shared.cells) == state_fingerprint(
-                passing.cells
+                passing.system.cells
             ), f"models diverged at round {round_index}"
             assert shared_report.consumed_count == passing_report.consumed_count
 
@@ -215,12 +201,12 @@ class TestBisimulation:
             sources={(0, 0): EagerSource(), (4, 4): EagerSource()},
         )
         shared = System(rng=random.Random(0), **kwargs)
-        passing = MessagePassingSystem(rng=random.Random(0), **kwargs)
+        passing = TimedEngine(System(rng=random.Random(0), **kwargs))
         for round_index in range(250):
             shared.update()
-            passing.update()
+            passing.step()
             assert state_fingerprint(shared.cells) == state_fingerprint(
-                passing.cells
+                passing.system.cells
             ), f"diverged at round {round_index}"
 
     @settings(
@@ -239,7 +225,7 @@ class TestBisimulation:
             grid=grid, params=PARAMS, tid=(2, 4), sources={(2, 0): EagerSource()}
         )
         shared = System(rng=random.Random(0), **kwargs)
-        passing = MessagePassingSystem(rng=random.Random(0), **kwargs)
+        passing = TimedEngine(System(rng=random.Random(0), **kwargs))
         model = BernoulliFaultModel(pf=pf, pr=pr)
         rng = random.Random(seed)
         for round_index in range(80):
@@ -251,12 +237,12 @@ class TestBisimulation:
             )
             for cid in sorted(decision.fail):
                 shared.fail(cid)
-                passing.fail(cid)
+                passing.system.fail(cid)
             for cid in sorted(decision.recover):
                 shared.recover(cid)
-                passing.recover(cid)
+                passing.system.recover(cid)
             shared.update()
-            passing.update()
+            passing.step()
             assert state_fingerprint(shared.cells) == state_fingerprint(
-                passing.cells
+                passing.system.cells
             ), f"diverged at round {round_index}"

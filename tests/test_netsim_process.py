@@ -1,12 +1,13 @@
 """Direct unit tests of ``CellProcess`` — the per-cell protocol logic
-driven with hand-built messages (no runtime, no network)."""
+driven with hand-built messages (no engine, no network: sends land in a
+plain list)."""
 
 import math
 
 import pytest
 
 from repro.core.params import Parameters
-from repro.core.policies import RoundRobinTokenPolicy
+from repro.core.system import System
 from repro.grid.topology import Grid
 from repro.netsim.message import (
     EntityTransferMessage,
@@ -14,7 +15,6 @@ from repro.netsim.message import (
     OccupancyAdvert,
     RouteAdvert,
 )
-from repro.netsim.network import SynchronousNetwork
 from repro.netsim.process import CellProcess
 
 PARAMS = Parameters(l=0.25, rs=0.05, v=0.2)
@@ -22,13 +22,17 @@ GRID = Grid(3)
 
 
 def make_process(cell_id=(1, 1), is_target=False) -> CellProcess:
-    return CellProcess(
-        cell_id=cell_id,
-        grid=GRID,
-        params=PARAMS,
-        is_target=is_target,
-        token_policy=RoundRobinTokenPolicy(),
-    )
+    """The process of ``cell_id`` in a fresh 3x3 ``System`` whose target
+    is ``cell_id`` itself or, otherwise, the far corner."""
+    system = System(grid=GRID, params=PARAMS, tid=cell_id if is_target else (2, 2))
+    return CellProcess(system, cell_id)
+
+
+class Outbox(list):
+    """A link that just records what the process sends."""
+
+    def send(self, message) -> None:
+        self.append(message)
 
 
 class TestOnRoute:
@@ -65,7 +69,7 @@ class TestOnRoute:
 
     def test_failed_process_computes_nothing(self):
         process = make_process()
-        process.crash()
+        process.system.fail(process.cell_id)
         process.on_route([RouteAdvert(src=(0, 1), dst=(1, 1), dist=1.0)])
         assert math.isinf(process.state.dist)
 
@@ -108,12 +112,12 @@ class TestOnGrant:
     def test_moves_only_with_matching_grant(self):
         from repro.core.entity import Entity
 
-        network = SynchronousNetwork(GRID)
+        outbox = Outbox()
         process = make_process()
         process.state.next_id = (2, 1)
         process.state.add_entity(Entity(uid=1, x=1.5, y=1.5))
         moved = process.on_grant(
-            [GrantAdvert(src=(2, 1), dst=(1, 1), signal=(1, 1))], network
+            [GrantAdvert(src=(2, 1), dst=(1, 1), signal=(1, 1))], outbox
         )
         assert moved
         assert process.state.members[1].x == pytest.approx(1.7)
@@ -121,12 +125,12 @@ class TestOnGrant:
     def test_grant_for_someone_else_ignored(self):
         from repro.core.entity import Entity
 
-        network = SynchronousNetwork(GRID)
+        outbox = Outbox()
         process = make_process()
         process.state.next_id = (2, 1)
         process.state.add_entity(Entity(uid=1, x=1.5, y=1.5))
         moved = process.on_grant(
-            [GrantAdvert(src=(2, 1), dst=(1, 1), signal=(1, 0))], network
+            [GrantAdvert(src=(2, 1), dst=(1, 1), signal=(1, 0))], outbox
         )
         assert not moved
         assert process.state.members[1].x == 1.5
@@ -134,17 +138,17 @@ class TestOnGrant:
     def test_crossing_sends_transfer(self):
         from repro.core.entity import Entity
 
-        network = SynchronousNetwork(GRID)
+        outbox = Outbox()
         process = make_process()
         process.state.next_id = (2, 1)
         process.state.add_entity(Entity(uid=1, x=1.8, y=1.5))
         process.on_grant(
-            [GrantAdvert(src=(2, 1), dst=(1, 1), signal=(1, 1))], network
+            [GrantAdvert(src=(2, 1), dst=(1, 1), signal=(1, 1))], outbox
         )
         assert 1 not in process.state.members
-        inboxes = network.deliver()
-        (message,) = inboxes[(2, 1)]
+        (message,) = outbox
         assert isinstance(message, EntityTransferMessage)
+        assert message.dst == (2, 1)
         assert message.uid == 1
 
 
@@ -172,7 +176,7 @@ class TestOnTransfers:
 
     def test_transfer_into_crashed_cell_is_a_protocol_violation(self):
         process = make_process()
-        process.crash()
+        process.system.fail(process.cell_id)
         message = EntityTransferMessage(
             src=(0, 1), dst=(1, 1), uid=7, position=(1.05, 1.4), birth_round=3
         )
