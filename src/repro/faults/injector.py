@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Deque, Optional, Sequence, Tuple
+from typing import Deque, List, Optional, Sequence, Tuple
 
 from repro.core.system import System
 from repro.faults.model import FaultDecision, FaultModel, NoFaults
@@ -67,6 +67,8 @@ class FaultInjector:
         self.total_recoveries = 0
         self.rounds_applied = 0
         self._last_disruption: Optional[int] = None
+        self._order: List[CellId] = []
+        self._order_grid = None
 
     def apply(self, system: System) -> FaultDecision:
         """Decide and apply this round's fault events (before ``update``)."""
@@ -78,8 +80,7 @@ class FaultInjector:
             system.relocate_target(new_tid)
             self._relocation_pos += 1
             self._last_disruption = self.rounds_applied
-        alive = sorted(system.non_faulty_cells())
-        failed = sorted(system.failed_cells())
+        alive, failed = self._split_cells(system)
         decision = self.model.decide(system.round_index, alive, failed, self.rng)
         for cid in sorted(decision.fail):
             system.fail(cid)
@@ -97,6 +98,24 @@ class FaultInjector:
             if decision.recover:
                 self.metrics.counter("faults.recovered").inc(len(decision.recover))
         return decision
+
+    def _split_cells(self, system: System) -> Tuple[List[CellId], List[CellId]]:
+        """``(sorted NF(x), sorted F(x))`` in one pass over the cells.
+
+        The sorted cell order depends only on the grid, so it is computed
+        once per grid. Reading ``failed`` every round (rather than
+        keeping a failed set from fail/recover events) stays correct
+        when code writes ``CellState.failed`` directly.
+        """
+        if self._order_grid is not system.grid:
+            self._order = sorted(system.cells)
+            self._order_grid = system.grid
+        cells = system.cells
+        alive: List[CellId] = []
+        failed: List[CellId] = []
+        for cid in self._order:
+            (failed if cells[cid].failed else alive).append(cid)
+        return alive, failed
 
     @property
     def last_disruption_round(self) -> Optional[int]:

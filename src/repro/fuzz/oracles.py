@@ -47,20 +47,23 @@ from __future__ import annotations
 
 import tempfile
 from dataclasses import dataclass, replace
+from itertools import zip_longest
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
+from repro.baselines.unsafe import UnsafeSystem
 from repro.core.arrays import HAVE_NUMPY
 from repro.core.system import System
 from repro.fuzz.generator import Scenario
 from repro.grid.topology import Grid
 from repro.monitors.invariants import check_containment, check_disjoint_membership
-from repro.monitors.recorder import MonitorViolation
+from repro.monitors.recorder import MonitorSuite, MonitorViolation
 from repro.monitors.safety import check_safe
 from repro.netsim.delay import DelayModel, LossyDelay, UniformDelay
 from repro.netsim.runtime import TimedEngine
 from repro.sim.seeding import derive_rng
 from repro.sim.simulator import (
+    Simulator,
     _make_source_policy,
     _make_token_policy,
     build_simulation,
@@ -743,6 +746,110 @@ class AsyncEquivalenceOracle(Oracle):
         return violations
 
 
+def full_scan_violations(system) -> List[tuple]:
+    """``(property, detail)`` pairs of a full scan of every cell: the
+    ``Safe`` and Invariant 1-2 violations
+    :meth:`MonitorSuite.after_round` must report, in its order."""
+    found = [("Safe (Theorem 5)", str(v)) for v in check_safe(system)]
+    found.extend(("Invariant 1", str(v)) for v in check_containment(system))
+    found.extend(
+        ("Invariant 2", f"entity {uid} present in multiple cells")
+        for uid in check_disjoint_membership(system)
+    )
+    return found
+
+
+class MonitorEquivalenceOracle(Oracle):
+    """The dirty-cell monitor suite against its full-scan twin.
+
+    :class:`~repro.monitors.recorder.MonitorSuite` re-checks only the
+    cells a round touched and re-reports cached verdicts for the rest.
+    This oracle attaches a lenient suite to a built simulation (after
+    its engine and profiler, so the hooks must chain) and compares,
+    after every round, the suite's ``Safe`` / Invariant 1 / Invariant 2
+    violations with a full scan's. The paper's protocol never violates,
+    so a second, greedy leg runs :class:`~repro.baselines.unsafe.
+    UnsafeSystem` over the scenario's grid, target, sources and fault
+    stream: its violations are what expose a skipped cell.
+    """
+
+    name = "monitor-equivalence"
+    description = (
+        "the dirty-cell monitors report exactly a full scan's Safe and "
+        "Invariant 1-2 violations, every round, on the protocol and the "
+        "greedy baseline"
+    )
+
+    def check(self, scenario: Scenario) -> List[Violation]:
+        """Lockstep the suite with the full scan on both legs."""
+        config = replace(scenario.config, monitors=False)
+        legs = [("protocol", build_simulation(config))]
+        if not config.commodities:
+            base = build_simulation(config, engine="reference")
+            system = base.system
+            greedy = UnsafeSystem(
+                grid=system.grid,
+                params=system.params,
+                tid=system.tid,
+                sources=system.sources,
+                token_policy=system.token_policy,
+                rng=system.rng,
+            )
+            greedy.cells = system.cells  # keeps a corridor's pre-failed cells
+            legs.append(
+                (
+                    "greedy",
+                    Simulator(
+                        system=greedy,
+                        rounds=config.rounds,
+                        injector=base.injector,
+                        engine="reference",
+                    ),
+                )
+            )
+        violations: List[Violation] = []
+        for leg, sim in legs:
+            try:
+                violations.extend(self._leg(leg, sim, config.rounds))
+            finally:
+                sim.engine.close()
+        return violations
+
+    def _leg(self, leg: str, sim, rounds: int) -> List[Violation]:
+        suite = MonitorSuite(
+            strict=False, check_h_predicate=False, check_lemma_4=False
+        )
+        suite.attach(sim.system)
+        for round_index in range(rounds):
+            start = len(suite.violations)
+            suite.after_round(sim.system, sim.step())
+            dirty = [
+                (v.property_name, v.detail) for v in suite.violations[start:]
+            ]
+            full = full_scan_violations(sim.system)
+            if dirty != full:
+                return [
+                    Violation(
+                        self.name,
+                        f"verdict mismatch ({leg})",
+                        f"dirty-cell suite reported {len(dirty)} "
+                        f"violation(s), full scan {len(full)}; first "
+                        f"difference: {_first_difference(dirty, full)}",
+                        round_index,
+                    )
+                ]
+        return []
+
+
+def _first_difference(dirty: List[tuple], full: List[tuple]) -> str:
+    index, (a, b) = next(
+        (index, pair)
+        for index, pair in enumerate(zip_longest(dirty, full))
+        if pair[0] != pair[1]
+    )
+    return f"#{index}: dirty-cell {a} vs full scan {b}"
+
+
 #: The oracle registry, in canonical (cheap-to-expensive-ish) check
 #: order. Keys are the CLI/docs names; ``docs/fuzzing.md`` carries a
 #: table CI-diffed against this dict by ``tests/test_docs.py``.
@@ -759,6 +866,7 @@ ORACLES: Dict[str, Oracle] = {
         StabilizationBoundOracle(),
         TokenFairnessOracle(),
         AsyncEquivalenceOracle(),
+        MonitorEquivalenceOracle(),
     )
 }
 

@@ -15,7 +15,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, Optional
 
 from repro.core.cell import CellState
 from repro.core.params import Parameters
@@ -41,20 +41,32 @@ class ContainmentViolation:
         )
 
 
+def cell_containment_violations(
+    cid: CellId, state: CellState, half_l: float
+) -> List[ContainmentViolation]:
+    """Invariant 1 violations of one cell, in uid order."""
+    i, j = cid
+    lo_x, hi_x, lo_y, hi_y = i + half_l, i + 1 - half_l, j + half_l, j + 1 - half_l
+    found: List[ContainmentViolation] = []
+    for entity in state.entities():
+        inside = (
+            tol_ge(entity.x, lo_x)
+            and tol_le(entity.x, hi_x)
+            and tol_ge(entity.y, lo_y)
+            and tol_le(entity.y, hi_y)
+        )
+        if not inside:
+            found.append(
+                ContainmentViolation(cell=cid, uid=entity.uid, x=entity.x, y=entity.y)
+            )
+    return found
+
+
 def containment_violations(system: System) -> Iterator[ContainmentViolation]:
-    """Invariant 1 violations in the current state."""
+    """Invariant 1 violations in the current state (full scan)."""
     half = system.params.half_l
     for cid, state in system.cells.items():
-        i, j = cid
-        for entity in state.entities():
-            inside = (
-                tol_ge(entity.x, i + half)
-                and tol_le(entity.x, i + 1 - half)
-                and tol_ge(entity.y, j + half)
-                and tol_le(entity.y, j + 1 - half)
-            )
-            if not inside:
-                yield ContainmentViolation(cell=cid, uid=entity.uid, x=entity.x, y=entity.y)
+        yield from cell_containment_violations(cid, state, half)
 
 
 def check_containment(system: System) -> List[ContainmentViolation]:
@@ -63,7 +75,11 @@ def check_containment(system: System) -> List[ContainmentViolation]:
 
 
 def check_disjoint_membership(system: System) -> List[int]:
-    """Invariant 2: uids appearing in more than one cell (empty = holds)."""
+    """Invariant 2: uids appearing in more than one cell (empty = holds).
+
+    A uid held by ``k`` cells is listed ``k - 1`` times, once at each
+    holder after the first in cell order.
+    """
     seen: Dict[int, CellId] = {}
     duplicated: List[int] = []
     for cid, state in system.cells.items():
@@ -73,6 +89,24 @@ def check_disjoint_membership(system: System) -> List[int]:
             else:
                 seen[uid] = cid
     return duplicated
+
+
+def entity_cell(system, entity) -> Optional[CellId]:
+    """The cell whose ``members`` hold ``entity`` (None if no cell does).
+
+    Looks first at the cell under the entity's centre — Invariant 1
+    keeps every member there — and confirms by membership; a miss falls
+    back to scanning every cell. Works on any system with a ``cells``
+    mapping of states with ``members``.
+    """
+    cells = system.cells
+    guess = (int(entity.x), int(entity.y))
+    state = cells.get(guess)
+    if state is not None and entity.uid in state.members:
+        return guess
+    return next(
+        (cid for cid, state in cells.items() if entity.uid in state.members), None
+    )
 
 
 @dataclass(frozen=True)

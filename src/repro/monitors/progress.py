@@ -17,6 +17,7 @@ from repro.core.cell import INFINITY
 from repro.core.move import MovePhaseReport
 from repro.core.system import RoundReport, System
 from repro.grid.topology import CellId
+from repro.monitors.invariants import entity_cell
 
 
 def routing_matches_ground_truth(system: System, strict: bool = False) -> bool:
@@ -105,13 +106,10 @@ class EntityTracker:
         """Ingest one round's report (births, hops, consumptions)."""
         for entity in report.produced:
             # Produced entities are placed in their source cell this round.
-            cid = next(
-                cid
-                for cid, state in system.cells.items()
-                if entity.uid in state.members
-            )
             self.records[entity.uid] = EntityRecord(
-                uid=entity.uid, birth_round=entity.birth_round, source=cid
+                uid=entity.uid,
+                birth_round=entity.birth_round,
+                source=entity_cell(system, entity),
             )
         self._observe_moves(report.move, report.round_index)
 

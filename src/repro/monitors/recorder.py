@@ -1,26 +1,40 @@
 """The monitor suite: continuous runtime verification of a running system.
 
-Attach a :class:`MonitorSuite` to a ``System`` (it installs itself as the
-system's phase observer) and call :meth:`after_round` from the simulation
-loop. Every proved property is then checked on every round of every
-experiment — the reproduction does not merely *assume* Theorem 5, it
-re-verifies it continuously, and any discrepancy between the paper's
-claims and the implementation surfaces immediately.
+Attach a :class:`MonitorSuite` to a ``System`` (it chains itself onto
+the system's phase and cell-event hooks) and call :meth:`after_round`
+from the simulation loop. Every proved property is then checked on every
+round of every experiment — the reproduction does not merely *assume*
+Theorem 5, it re-verifies it continuously, and any discrepancy between
+the paper's claims and the implementation surfaces immediately.
+
+``Safe`` and Invariant 1 are per-cell properties and Invariant 2 is a
+per-uid one, so a cell whose members neither changed nor moved keeps its
+verdict. :meth:`MonitorSuite.after_round` therefore re-checks only the
+cells the round touched — the Move report's movers, the destinations of
+non-consumed transfers, the cells produced entities landed in, and every
+cell named by a ``cell_observer`` event — and re-reports the cached
+verdicts of all other cells, in the order a full scan would. The first
+round after :meth:`MonitorSuite.attach` checks every cell. The full-scan
+functions (:func:`~repro.monitors.safety.check_safe`,
+:func:`~repro.monitors.invariants.check_containment`,
+:func:`~repro.monitors.invariants.check_disjoint_membership`) are its
+twin; the ``monitor-equivalence`` fuzz oracle compares the two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
 from repro.core.system import RoundReport, System
+from repro.grid.topology import CellId
 from repro.monitors.invariants import (
-    check_containment,
-    check_disjoint_membership,
+    cell_containment_violations,
     check_signal_gap,
+    entity_cell,
     two_cycle_signal_pairs,
 )
-from repro.monitors.safety import check_safe
+from repro.monitors.safety import cell_safety_violations
 
 
 @dataclass(frozen=True)
@@ -75,9 +89,41 @@ class MonitorSuite:
 
     _signal_pairs: List[tuple] = field(default_factory=list)
 
+    # Dirty-cell state (see the module docstring): the attached system,
+    # the hooks chained behind this suite's, the cells touched since the
+    # last check (None = every cell), and the cached per-cell verdicts.
+    _system: Optional[System] = field(default=None, init=False, repr=False)
+    _chained_phase: Optional[object] = field(default=None, init=False, repr=False)
+    _chained_cell: Optional[object] = field(default=None, init=False, repr=False)
+    _dirty: Optional[Set[CellId]] = field(default=None, init=False, repr=False)
+    _order: Dict[CellId, int] = field(default_factory=dict, init=False, repr=False)
+    _unsafe: Dict[CellId, list] = field(default_factory=dict, init=False, repr=False)
+    _uncontained: Dict[CellId, list] = field(
+        default_factory=dict, init=False, repr=False
+    )
+    _members: Dict[CellId, FrozenSet[int]] = field(
+        default_factory=dict, init=False, repr=False
+    )
+    _holders: Dict[int, Set[CellId]] = field(
+        default_factory=dict, init=False, repr=False
+    )
+    _duplicated: Set[int] = field(default_factory=set, init=False, repr=False)
+
     def attach(self, system: System) -> "MonitorSuite":
-        """Install as ``system.phase_observer`` (returns self for chaining)."""
-        system.phase_observer = self._on_phase
+        """Chain onto ``system.phase_observer`` and ``system.cell_observer``.
+
+        Hooks already installed (a profiler, a round engine's dirty-set
+        feed) keep firing after this suite's. Re-attaching to the same
+        system only restarts the dirty-cell bookkeeping, so the next
+        :meth:`after_round` checks every cell. Returns self.
+        """
+        if system is not self._system:
+            self._system = system
+            self._chained_phase = system.phase_observer
+            system.phase_observer = self._on_phase
+            self._chained_cell = system.cell_observer
+            system.cell_observer = self._on_cell_event
+        self._dirty = None
         return self
 
     # ------------------------------------------------------------------
@@ -89,18 +135,29 @@ class MonitorSuite:
                     self._record(system.round_index, "predicate-H", str(violation))
             if self.check_lemma_4:
                 self._signal_pairs = two_cycle_signal_pairs(system)
+        if self._chained_phase is not None:
+            self._chained_phase(phase, system)
+
+    def _on_cell_event(self, event: str, cid: CellId) -> None:
+        if self._dirty is not None:
+            self._dirty.add(cid)
+        if self._chained_cell is not None:
+            self._chained_cell(event, cid)
 
     def after_round(self, system: System, report: RoundReport) -> None:
         """Run the post-state checks for the round just completed."""
         rnd = report.round_index
+        self._refresh(system, report)
         if self.check_safety:
-            for violation in check_safe(system):
-                self._record(rnd, "Safe (Theorem 5)", str(violation))
+            for cid in self._in_cell_order(self._unsafe):
+                for violation in self._unsafe[cid]:
+                    self._record(rnd, "Safe (Theorem 5)", str(violation))
         if self.check_invariant_1:
-            for violation in check_containment(system):
-                self._record(rnd, "Invariant 1", str(violation))
+            for cid in self._in_cell_order(self._uncontained):
+                for violation in self._uncontained[cid]:
+                    self._record(rnd, "Invariant 1", str(violation))
         if self.check_invariant_2:
-            for uid in check_disjoint_membership(system):
+            for uid in self._duplicate_uids(system):
                 self._record(
                     rnd, "Invariant 2", f"entity {uid} present in multiple cells"
                 )
@@ -116,6 +173,114 @@ class MonitorSuite:
                         f"transfer occurred between mutually signaling cells {a}, {b}",
                     )
             self._signal_pairs = []
+
+    # ------------------------------------------------------------------
+    # Dirty-cell verdict cache
+    # ------------------------------------------------------------------
+
+    def _touched_cells(self, system: System, report: RoundReport) -> Set[CellId]:
+        """Cells whose members changed or moved this round (the dirty set
+        accumulated from ``cell_observer`` events plus the round's
+        movers, transfer destinations, and production cells)."""
+        touched = self._dirty
+        self._dirty = set()
+        move = report.move
+        touched.update(move.moved_cells)
+        touched.update(t.dst for t in move.transfers if not t.consumed)
+        for entity in report.produced:
+            cid = entity_cell(system, entity)
+            if cid is not None:
+                touched.add(cid)
+        return touched
+
+    def _refresh(self, system: System, report: RoundReport) -> None:
+        """Re-derive the cached verdicts of every cell the round touched.
+
+        An unattached system (or the first round after :meth:`attach`)
+        rebuilds the cache from every cell.
+        """
+        cells = system.cells
+        touched: Iterable[CellId]
+        if system is self._system and self._dirty is not None:
+            touched = self._touched_cells(system, report)
+        else:
+            # Empty cells have no violations and nothing cached to drop.
+            touched = [cid for cid, state in cells.items() if state.members]
+            self._order = {cid: k for k, cid in enumerate(cells)}
+            self._unsafe = {}
+            self._uncontained = {}
+            self._members = {}
+            self._holders = {}
+            self._duplicated = set()
+            self._dirty = set() if system is self._system else None
+        d = system.params.d
+        half_l = system.params.half_l
+        for cid in touched:
+            state = cells[cid]
+            if self.check_safety:
+                self._cache(self._unsafe, cid, cell_safety_violations(cid, state, d))
+            if self.check_invariant_1:
+                self._cache(
+                    self._uncontained,
+                    cid,
+                    cell_containment_violations(cid, state, half_l),
+                )
+            if self.check_invariant_2:
+                self._update_holders(cid, state.members)
+
+    @staticmethod
+    def _cache(verdicts: Dict[CellId, list], cid: CellId, found: list) -> None:
+        if found:
+            verdicts[cid] = found
+        else:
+            verdicts.pop(cid, None)
+
+    def _update_holders(self, cid: CellId, members: dict) -> None:
+        """Invariant 2 bookkeeping: which cells hold each uid."""
+        old = self._members.get(cid, frozenset())
+        if old == members.keys():
+            return
+        new = frozenset(members)
+        holders = self._holders
+        for uid in old - new:
+            cells = holders[uid]
+            cells.discard(cid)
+            if not cells:
+                del holders[uid]
+            elif len(cells) == 1:
+                self._duplicated.discard(uid)
+        for uid in new - old:
+            cells = holders.setdefault(uid, set())
+            cells.add(cid)
+            if len(cells) > 1:
+                self._duplicated.add(uid)
+        if new:
+            self._members[cid] = new
+        else:
+            self._members.pop(cid, None)
+
+    def _in_cell_order(self, cells: Iterable[CellId]) -> List[CellId]:
+        return sorted(cells, key=self._order.__getitem__)
+
+    def _duplicate_uids(self, system: System) -> List[int]:
+        """Invariant 2 violations in full-scan order: every holder of a
+        uid after the first, in cell order, then member order."""
+        if not self._duplicated:
+            return []
+        holding = self._in_cell_order(
+            {cid for uid in self._duplicated for cid in self._holders[uid]}
+        )
+        seen: Set[int] = set()
+        duplicated: List[int] = []
+        for cid in holding:
+            for uid in system.cells[cid].members:
+                if uid not in self._duplicated:
+                    continue
+                if uid in seen:
+                    duplicated.append(uid)
+                else:
+                    seen.add(uid)
+        return duplicated
 
     # ------------------------------------------------------------------
 

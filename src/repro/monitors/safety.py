@@ -45,24 +45,42 @@ def safe_cell(state: CellState, d: float) -> bool:
     return True
 
 
-def safety_violations(system: System) -> Iterator[SafetyViolation]:
-    """Yield every violating pair in the current state."""
-    d = system.params.d
-    for cid, state in system.cells.items():
-        entities = state.entities()
-        for a in range(len(entities)):
-            for b in range(a + 1, len(entities)):
-                pa, pb = entities[a], entities[b]
-                if not axis_separated(pa.center, pb.center, d):
-                    yield SafetyViolation(
+def cell_safety_violations(
+    cid: CellId, state: CellState, d: float
+) -> List[SafetyViolation]:
+    """``Safe_{i,j}`` violations of one cell, pairs in uid order."""
+    if len(state.members) < 2:
+        return []
+    entities = state.entities()
+    found: List[SafetyViolation] = []
+    for a in range(len(entities)):
+        for b in range(a + 1, len(entities)):
+            pa, pb = entities[a], entities[b]
+            if not axis_separated(pa.center, pb.center, d):
+                found.append(
+                    SafetyViolation(
                         cell=cid,
                         uid_a=pa.uid,
                         uid_b=pb.uid,
                         separation=min_axis_separation(pa.center, pb.center),
                         required=d,
                     )
+                )
+    return found
+
+
+def safety_violations(system: System) -> Iterator[SafetyViolation]:
+    """Yield every violating pair in the current state (full scan)."""
+    d = system.params.d
+    for cid, state in system.cells.items():
+        yield from cell_safety_violations(cid, state, d)
 
 
 def check_safe(system: System) -> List[SafetyViolation]:
-    """``Safe(x)`` over the whole system; empty list means safe."""
+    """``Safe(x)`` over the whole system; empty list means safe.
+
+    The full-scan twin of the per-round check
+    :meth:`~repro.monitors.recorder.MonitorSuite.after_round` makes on
+    the cells a round touched.
+    """
     return list(safety_violations(system))

@@ -38,9 +38,15 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence
 
 
+#: One shared encoder: ``json.dumps`` with non-default arguments builds
+#: a fresh ``JSONEncoder`` per call, and the service encodes every
+#: event record it commits.
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_line(record: Dict) -> str:
     """One canonical JSON line: sorted keys, compact separators."""
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL_ENCODER.encode(record)
 
 
 class ServeSink:

@@ -12,6 +12,11 @@ off-by-``l/2`` transfer-snap bug — and asserts, for each:
 3. the written JSON artifact, replayed through the ``fuzz replay`` CLI,
    reproduces the identical violation (exit code 0).
 
+Further campaigns plant bugs that only a specific oracle sees: a
+recovery skip (``stabilization-bound``), a sticky token rotation
+(``token-fairness``), and a monitor suite whose dirty set drops the
+destinations of transfers (``monitor-equivalence``).
+
 The campaigns run with ``workers=1`` on purpose: monkeypatched engine
 classes exist only in this process, and the in-process path of
 ``ParallelSweepRunner`` is what keeps them visible to the oracles.
@@ -29,6 +34,8 @@ from repro.fuzz.shrink import replay_repro, shrink_scenario, write_repro
 from repro.sim import engine as engine_module
 from repro.sim.engine import ENGINES, IncrementalEngine, _row_major
 from repro.cli.main import main as cli_main
+from repro.monitors.invariants import entity_cell
+from repro.monitors.recorder import MonitorSuite
 
 #: Seed range the campaigns scan. Wide enough that every mutant is hit
 #: by multiple scenarios (the differential oracle runs the incremental
@@ -288,6 +295,54 @@ def test_starvation_campaign_detects_and_shrinks_sticky_rotation(
         cli_main(["fuzz", "replay", str(path), "--oracles", "token-fairness"])
         == 0
     )
+
+
+def _skip_transfer_destinations(self, system, report):
+    """PLANTED: the dirty set forgets the destinations of transfers.
+
+    An arrival into a cell that does not move itself this round is then
+    never re-checked, so a ``Safe`` violation it causes (the greedy
+    baseline piling entities up behind a crash) goes unreported until
+    that cell moves — or forever, if it never does.
+    """
+    touched = self._dirty
+    self._dirty = set()
+    touched.update(report.move.moved_cells)
+    for entity in report.produced:
+        touched.add(entity_cell(system, entity))
+    return touched
+
+
+def test_campaign_detects_and_shrinks_skipped_dirty_cell(monkeypatch, tmp_path):
+    """``monitor-equivalence`` catches a monitor suite that skips one
+    kind of dirty cell, shrinks the scenario, and the artifact replays
+    identically through the CLI."""
+    monkeypatch.setattr(MonitorSuite, "_touched_cells", _skip_transfer_destinations)
+    oracles = ["monitor-equivalence"]
+    result = run_campaign(CAMPAIGN_SEEDS, oracle_names=oracles, workers=1)
+    assert result.failures, "campaign missed the skipped dirty cell"
+    assert not result.errors
+    assert all(
+        v.property_name == "verdict mismatch (greedy)"
+        for outcome in result.failures
+        for v in outcome.violations
+    )
+
+    first = result.failures[0]
+    original = generate_scenario(first.seed).config
+    shrunk = shrink_scenario(generate_scenario(first.seed), oracle_names=oracles)
+    config = shrunk.scenario.config
+    assert shrunk.violations, "shrinking lost the violation"
+    # The greedy leg needs a pile-up before the skipped arrival shows,
+    # so the repro keeps more rounds than the engine mutants' six.
+    assert config.rounds < original.rounds and config.rounds <= 16
+    cells = config.grid_width * (config.grid_height or config.grid_width)
+    assert cells < original.grid_width * (original.grid_height or original.grid_width)
+
+    path = write_repro(shrunk, tmp_path)
+    artifact, recomputed = replay_repro(path, oracle_names=oracles)
+    assert [v.to_dict() for v in recomputed] == artifact["violations"]
+    assert cli_main(["fuzz", "replay", str(path), "--oracles", *oracles]) == 0
 
 
 def test_clean_tree_campaign_is_quiet():
